@@ -114,11 +114,7 @@ def run_sccp(
             values[SSAName(symbol, 0)] = BOTTOM
 
     cfg = ssa.cfg
-    defs = ssa.definitions()
     uses = ssa.uses()
-    instr_block: dict[int, int] = {}
-    for block, instr in cfg.instructions():
-        instr_block[id(instr)] = block.id
 
     flow_list: list[tuple[int, int]] = [(_ENTRY_EDGE, cfg.entry_id)]
     ssa_list: list[object] = []

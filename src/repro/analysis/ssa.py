@@ -21,15 +21,15 @@ every analysis works on its own SSA copy.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass, field, fields
+from typing import TYPE_CHECKING, Callable
 
 from repro.analysis.dominance import DominatorTree, compute_dominators, iterated_frontier
 from repro.frontend.astnodes import Type
 from repro.frontend.symbols import GlobalId, Symbol, SymbolKind
-from repro.ir.cfg import ControlFlowGraph
+from repro.ir.cfg import BasicBlock, ControlFlowGraph
 from repro.ir.instructions import (
+    Argument,
     Call,
     CallKill,
     Instr,
@@ -41,6 +41,9 @@ from repro.ir.instructions import (
     VarUse,
 )
 from repro.ir.lower import LoweredProcedure, LoweredProgram
+
+if TYPE_CHECKING:  # valuenum imports this module
+    from repro.analysis.valuenum import ValueNumbering
 
 #: Maps a Call to the scalars it may modify: list of (symbol, binding).
 CallEffects = Callable[[Call], list[tuple[Symbol, tuple[str, object]]]]
@@ -83,8 +86,63 @@ def ensure_global_symbols(lowered: LoweredProgram) -> None:
 
 
 def copy_cfg(cfg: ControlFlowGraph) -> ControlFlowGraph:
-    """Deep-copy a CFG; symbols are shared (they define their own deepcopy)."""
-    return copy.deepcopy(cfg)
+    """Structurally clone a CFG for SSA construction to rewrite.
+
+    Blocks and instructions are new objects, and so is every mutable part
+    renaming or later passes may touch: the ``instrs``/``preds`` lists,
+    every list-valued operand field, each call :class:`Argument`, and
+    phi ``incoming`` maps. Operands, spans and symbols are frozen or
+    identity objects, so the clone shares them with the original.
+    """
+    clone = ControlFlowGraph()
+    clone.entry_id = cfg.entry_id
+    clone.exit_id = cfg.exit_id
+    clone._next_id = cfg._next_id
+    calls: dict[int, Call] = {}
+    for block_id, block in cfg.blocks.items():
+        clone.blocks[block_id] = BasicBlock(
+            block_id,
+            [_clone_instr(instr, calls) for instr in block.instrs],
+            list(block.preds),
+        )
+    return clone
+
+
+#: instruction class -> the names of all its dataclass fields.
+_INSTR_FIELDS: dict[type, tuple[str, ...]] = {}
+
+
+def _clone_instr(instr: Instr, calls: dict[int, Call]) -> Instr:
+    """A field-by-field copy of ``instr`` with fresh mutable containers.
+
+    ``calls`` maps already-cloned calls (by id of the original) to their
+    clones, so a :class:`CallKill` keeps pointing at the call before it.
+    """
+    cls = type(instr)
+    names = _INSTR_FIELDS.get(cls)
+    if names is None:
+        names = _INSTR_FIELDS[cls] = tuple(f.name for f in fields(cls))
+    clone = cls.__new__(cls)
+    for name in names:
+        value = getattr(instr, name)
+        kind = type(value)
+        if kind is list:
+            value = [
+                _clone_argument(item) if type(item) is Argument else item
+                for item in value
+            ]
+        elif kind is dict:
+            value = dict(value)
+        elif kind is Call:
+            value = calls.get(id(value), value)
+        setattr(clone, name, value)
+    if cls is Call:
+        calls[id(instr)] = clone
+    return clone
+
+
+def _clone_argument(arg: Argument) -> Argument:
+    return Argument(arg.kind, arg.value, arg.symbol, list(arg.indices), arg.span)
 
 
 def instrument_call_kills(cfg: ControlFlowGraph, effects: CallEffects) -> None:
@@ -113,6 +171,18 @@ class SSAProcedure:
     exit_reachable: bool = True
     #: site_id -> {global symbol -> version current just before the call}.
     call_versions: dict[int, dict[Symbol, int]] = field(default_factory=dict)
+    # Memos of results that depend on this SSA form plus a small key; they
+    # live exactly as long as the form does (an ``SSACache`` entry).
+    #: (use return JFs, compose, intern generation) -> stage-2 numbering.
+    numberings: dict[tuple, ValueNumbering] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+    #: type-tagged entry environment -> the seeded-SCCP substitution
+    #: references ``record`` derives from it (see ``core.substitute``).
+    references: dict[tuple, tuple] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+    _uses: dict | None = field(default=None, repr=False, compare=False)
 
     @property
     def name(self) -> str:
@@ -136,17 +206,25 @@ class SSAProcedure:
                 defs[SSAName(dest.symbol, dest.version or 0)] = (block.id, instr)
         return defs
 
-    def uses(self) -> dict[object, list[tuple[int, Instr]]]:
-        """Map each SSAName/Temp to the instructions that use it."""
-        found: dict[object, list[tuple[int, Instr]]] = {}
-        for block, instr in self.cfg.instructions():
-            for operand in instr.uses():
-                if isinstance(operand, Temp):
-                    found.setdefault(operand, []).append((block.id, instr))
-                elif isinstance(operand, SSAName):
-                    key = SSAName(operand.symbol, operand.version)
-                    found.setdefault(key, []).append((block.id, instr))
-        return found
+    def uses(self) -> dict[object, tuple[tuple[int, Instr], ...]]:
+        """Map each SSAName/Temp to the (block id, instruction) pairs that
+        use it.
+
+        Built once per SSA form and kept compact (one pair per
+        instruction, tuples not lists), because it lives as long as the
+        form; callers must not mutate the result."""
+        if self._uses is None:
+            found: dict[object, list[tuple[int, Instr]]] = {}
+            for block, instr in self.cfg.instructions():
+                site = (block.id, instr)
+                for operand in instr.uses():
+                    if isinstance(operand, Temp):
+                        found.setdefault(operand, []).append(site)
+                    elif isinstance(operand, SSAName):
+                        key = SSAName(operand.symbol, operand.version)
+                        found.setdefault(key, []).append(site)
+            self._uses = {key: tuple(sites) for key, sites in found.items()}
+        return self._uses
 
     def entry_use_spans(self, symbol: Symbol) -> list:
         """Source spans of uses of ``symbol``'s entry value.

@@ -17,7 +17,7 @@ from repro.callgraph.modref import ModRefInfo, make_call_effects
 from repro.core.config import AnalysisConfig, JumpFunctionKind
 from repro.core.engine import SupportIndex, build_support_index
 from repro.core.jump_functions import CallSiteFunctions, project
-from repro.core.returns import ReturnFunctionResult
+from repro.core.returns import ReturnFunctionResult, numbering_key
 from repro.frontend.astnodes import Type
 from repro.frontend.symbols import SymbolKind
 from repro.ir.instructions import ArgumentKind, Const
@@ -59,13 +59,18 @@ def build_forward_jump_functions(
 ) -> ForwardFunctions:
     """Stage 2: construct every call site's forward jump functions.
 
-    ``ssa_cache`` (a :class:`repro.core.driver.SSACache`, or anything with
-    its ``get(name, use_mod)`` shape) reuses the SSA forms stage 1 built —
-    SSA depends only on MOD information, not on the jump-function kind.
+    ``ssa_cache`` (a :class:`repro.core.driver.SSACache`) reuses the SSA
+    forms stage 1 built — SSA depends only on MOD information, not on the
+    jump-function kind — and with them each form's memoized numberings:
+    the numbering depends on the return-JF table, which is fixed by
+    ``use_mod`` and the two return-JF switches, never on the kind.
     """
     result = ForwardFunctions()
     active_modref = modref if config.use_mod else None
     rjf_table = returns.table if config.use_return_jump_functions else {}
+    key = numbering_key(
+        config.use_return_jump_functions, config.compose_return_functions
+    )
 
     scalar_globals = {
         gid: gvar
@@ -79,9 +84,12 @@ def build_forward_jump_functions(
         else:
             effects = make_call_effects(lowered, name, active_modref)
             ssa = build_ssa(lowered_proc, effects)
-        numbering = value_number(
-            ssa, lowered, rjf_table, config.compose_return_functions
-        )
+        numbering = ssa.numberings.get(key)
+        if numbering is None:
+            numbering = value_number(
+                ssa, lowered, rjf_table, config.compose_return_functions
+            )
+            ssa.numberings[key] = numbering
         result.ssas[name] = ssa
         result.numberings[name] = numbering
 

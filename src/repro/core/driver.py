@@ -88,23 +88,35 @@ from repro.store.slabs import plan_slab, publish_slab
 
 
 class SSACache:
-    """Memoized SSA construction, keyed by (procedure, use_mod).
+    """Memoized SSA construction, keyed by (procedure, use_mod), plus the
+    configuration-independent results built on those SSA forms.
 
     SSA form depends on the lowered CFG and on which scalars each call
     kills — i.e. on MOD information, but on nothing else in the
-    configuration. Profiling shows the CFG copy inside ``build_ssa``
-    dominates a configuration sweep, and stages 1 and 2 each build it, so
-    one bundle serves every (jump function × returns) combination: at most
-    two SSA forms per procedure ever exist (with and without MOD).
+    configuration. Stages 1 and 2 and every configuration of a sweep
+    share the forms: at most two SSA forms per procedure ever exist (with
+    and without MOD). The memos that ride on them (DESIGN.md, "Pipeline
+    and caching") are keyed by what they read besides the form:
+
+    - :attr:`returns`: stage 1's whole result, keyed by (use_mod,
+      compose_return_functions, intern generation);
+    - ``SSAProcedure.numberings``: stage 2's value numbering, keyed by
+      (return JFs on/off, compose, intern generation);
+    - ``SSAProcedure.references``: ``record``'s seeded-SCCP references,
+      keyed by the type-tagged entry environment.
+
     Consumers (value numbering, SCCP, the dependence clients) never mutate
-    the SSA CFG; complete propagation, which mutates the *lowered* CFGs,
-    gets a private cache that is invalidated after every DCE round.
+    the SSA CFG. :meth:`clear` drops the forms and every memo with them;
+    complete propagation, which mutates the *lowered* CFGs, gets a private
+    cache per DCE round.
     """
 
     def __init__(self, lowered: LoweredProgram, modref: ModRefInfo):
         self._lowered = lowered
         self._modref = modref
         self._entries: dict[tuple[str, bool], SSAProcedure] = {}
+        #: (use_mod, compose, intern generation) -> stage-1 result.
+        self.returns: dict[tuple, ReturnFunctionResult] = {}
         self.hits = 0
         self.misses = 0
 
@@ -124,6 +136,7 @@ class SSACache:
 
     def clear(self) -> None:
         self._entries.clear()
+        self.returns.clear()
 
 
 @dataclass
@@ -288,7 +301,7 @@ class AnalysisResult:
         extras = {
             key: value
             for key, value in self.timings.items()
-            if key not in stage_keys and key != "stage0_cached"
+            if key not in stage_keys
         }
         lines.append("solver counters:")
         for key, value in self.solved.counters().items():
@@ -314,11 +327,7 @@ class AnalysisResult:
         """The ``--profile-json`` payload: per-stage timings (ms) plus
         every solver, cache, region, and store counter as plain JSON."""
         stage_keys = ("lower", "modref", "returns", "forward", "solve", "record")
-        timings_ms = {
-            key: value * 1000.0
-            for key, value in self.timings.items()
-            if key != "stage0_cached"
-        }
+        timings_ms = {key: value * 1000.0 for key, value in self.timings.items()}
         payload = {
             "timings_ms": {
                 key: timings_ms.pop(key) for key in stage_keys if key in timings_ms
@@ -842,7 +851,6 @@ def analyze(
     start = time.perf_counter()
     substitutions = compute_substitutions(artifacts.forward, artifacts.solved)
     timings["record"] = time.perf_counter() - start
-    timings["stage0_cached"] = 1.0 if stage0_cached else 0.0
 
     return AnalysisResult(
         program=stage0.program,

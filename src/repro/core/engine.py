@@ -237,12 +237,12 @@ def build_support_index(
     seeds: dict[str, list[BindingEdge]] = defaultdict(list)
     kills: dict[str, list[Binding]] = defaultdict(list)
     dependents: dict[Binding, list[BindingEdge]] = defaultdict(list)
-    callees: dict[str, list[str]] = defaultdict(list)
+    #: caller -> its callees in first-call order (a dict as ordered set).
+    callees: dict[str, dict[str, None]] = defaultdict(dict)
 
     for site_id, site in sites.items():
         caller, callee = site.caller, site.callee
-        if callee not in callees[caller]:
-            callees[caller].append(callee)
+        callees[caller][callee] = None
         callee_keys = keys_of.get(callee, ())
         callee_key_set = set(callee_keys)
         bound: set[EntryKey] = set()

@@ -23,7 +23,7 @@ from repro.analysis.valuenum import RESULT_KEY, ValueNumbering, value_number
 from repro.callgraph.graph import CallGraph
 from repro.callgraph.modref import ModRefInfo, make_call_effects
 from repro.core.config import AnalysisConfig
-from repro.core.exprs import EntryExpr, ValueExpr
+from repro.core.exprs import INTERN_TABLE, EntryExpr, ValueExpr
 from repro.frontend.astnodes import Type
 from repro.frontend.symbols import SymbolKind
 from repro.ir.lower import LoweredProgram
@@ -57,6 +57,17 @@ class ReturnFunctionResult:
         return count
 
 
+def numbering_key(use_return_jump_functions: bool, compose: bool) -> tuple:
+    """Key of a stage-2 value numbering in ``SSAProcedure.numberings``.
+
+    Over one SSA form, the numbering stage 2 needs depends only on
+    whether return jump functions are on and how they are applied; the
+    intern generation keeps numberings built before a
+    ``clear_intern_table()`` from mixing with new expressions.
+    """
+    return (use_return_jump_functions, compose, INTERN_TABLE.generation)
+
+
 def build_return_jump_functions(
     lowered: LoweredProgram,
     graph: CallGraph,
@@ -70,17 +81,30 @@ def build_return_jump_functions(
     table (Table 2's "No Return Jump Functions" columns) — calls then
     simply kill whatever MOD says they may modify.
 
-    ``ssa_cache`` (a :class:`repro.core.driver.SSACache`, or anything with
-    its ``get(name, use_mod)`` shape) shares SSA forms with stage 2 and
-    with other configurations; without one each procedure is converted
-    here from scratch.
+    ``ssa_cache`` (a :class:`repro.core.driver.SSACache`) shares SSA forms
+    with stage 2 and with other configurations, and memoizes the whole
+    result: stage 1 reads only ``use_mod`` and
+    ``compose_return_functions``, so every jump-function kind shares one
+    build. Without a cache each procedure is converted here from scratch.
+
+    A procedure outside every call-graph cycle is numbered against final
+    callee summaries, so its numbering is also the one stage 2 needs; it
+    is left in the SSA form's ``numberings`` memo for stage 2 to reuse.
     """
     result = ReturnFunctionResult()
     if not config.use_return_jump_functions:
         return result
+    compose = config.compose_return_functions
+    memo_key = (config.use_mod, compose, INTERN_TABLE.generation)
+    if ssa_cache is not None:
+        cached = ssa_cache.returns.get(memo_key)
+        if cached is not None:
+            return cached
 
     active_modref = modref if config.use_mod else None
+    final_key = numbering_key(True, compose)
     for scc in graph.bottom_up_sccs():
+        on_cycle = len(scc) > 1 or scc[0] in graph.callees(scc[0])
         for name in scc:
             lowered_proc = lowered.procedures[name]
             if ssa_cache is not None:
@@ -88,15 +112,14 @@ def build_return_jump_functions(
             else:
                 effects = make_call_effects(lowered, name, active_modref)
                 ssa = build_ssa(lowered_proc, effects)
-            numbering = value_number(
-                ssa,
-                lowered,
-                result.table,
-                config.compose_return_functions,
-            )
+            numbering = value_number(ssa, lowered, result.table, compose)
+            if not on_cycle:
+                ssa.numberings[final_key] = numbering
             result.ssas[name] = ssa
             result.numberings[name] = numbering
             result.table[name] = _extract_functions(lowered_proc, numbering)
+    if ssa_cache is not None:
+        ssa_cache.returns[memo_key] = result
     return result
 
 

@@ -6,6 +6,9 @@ both *known* and *relevant* (referenced in the procedure). We make that
 operational:
 
 1. Seed SCCP over each procedure with its CONSTANTS(p) entry environment.
+   The references it yields depend only on the SSA form and that
+   environment, so they are memoized on the form: configurations that
+   reach the same CONSTANTS(p) share one SCCP run.
 2. Every source-level variable reference whose SSA name SCCP proves
    constant is a substitution site (it carries the source span the IR
    preserved from parsing).
@@ -23,7 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.sccp import run_sccp
+from repro.analysis.sccp import SCCPResult, run_sccp
+from repro.analysis.ssa import SSAProcedure
 from repro.analysis.valuenum import entry_key_of
 from repro.core.lattice import BOTTOM, TOP, LatticeValue, is_constant
 from repro.core.solver import SolveResult
@@ -31,20 +35,19 @@ from repro.frontend.source import SourceSpan
 from repro.frontend.symbols import Symbol
 from repro.ir.instructions import Phi, SSAName
 
+#: one substituted reference: (span, constant value, symbol).
+Reference = tuple[SourceSpan, LatticeValue, Symbol]
+
 
 @dataclass
 class ProcedureSubstitutions:
     """Substitution facts for one procedure."""
 
     proc: str
-    #: every substituted reference: (span, constant value, symbol).
-    references: list[tuple[SourceSpan, LatticeValue, Symbol]] = field(
-        default_factory=list
-    )
+    #: every substituted reference.
+    references: list[Reference] = field(default_factory=list)
     #: the subset whose SSA name is the entry value of a CONSTANTS(p) key.
-    entry_references: list[tuple[SourceSpan, LatticeValue, Symbol]] = field(
-        default_factory=list
-    )
+    entry_references: list[Reference] = field(default_factory=list)
     #: |CONSTANTS(p)| — every (key, value) pair the solver proved.
     known_constants: int = 0
     #: CONSTANTS(p) keys with no substituted entry reference — "known but
@@ -140,34 +143,26 @@ def compute_substitutions(
                 continue
             value = val_env.get(key, BOTTOM)
             entry_env[symbol] = BOTTOM if value is TOP else value
-        sccp = run_sccp(ssa, entry_env)
+        # Type-tagged, so an INTEGER 1 never shares a run with .true.;
+        # absent symbols are ⊥, exactly as run_sccp reads them.
+        env_key = tuple(
+            (symbol, type(value), value)
+            for symbol, value in entry_env.items()
+            if value is not BOTTOM
+        )
+        sites = ssa.references.get(env_key)
+        if sites is None:
+            sites = _reference_sites(ssa, run_sccp(ssa, entry_env))
+            ssa.references[env_key] = sites
+        references, entry_candidates = sites
         constants = solved.constants(name)
         proc_subs = ProcedureSubstitutions(proc=name)
-        seen_spans: set[tuple[int, int]] = set()
-        for block, instr in ssa.cfg.instructions():
-            if block.id not in sccp.executable_blocks:
-                continue
-            if isinstance(instr, Phi):
-                continue  # phi inputs are not source references
-            for operand in instr.uses():
-                if not isinstance(operand, SSAName):
-                    continue
-                span = operand.span
-                if span.start.offset == span.end.offset:
-                    continue  # synthesized use, no source text
-                value = sccp.value_of(operand)
-                if not is_constant(value):
-                    continue
-                span_key = span.text_range
-                if span_key in seen_spans:
-                    continue
-                seen_spans.add(span_key)
-                record = (span, value, operand.symbol)
-                proc_subs.references.append(record)
-                if operand.version == 0:
-                    key = entry_key_of(operand.symbol)
-                    if key is not None and key in constants:
-                        proc_subs.entry_references.append(record)
+        proc_subs.references = list(references)
+        proc_subs.entry_references = [
+            record
+            for record in entry_candidates
+            if entry_key_of(record[2]) in constants
+        ]
         proc_subs.known_constants = len(constants)
         referenced_keys = {
             entry_key_of(symbol) for symbol in proc_subs.entry_symbols
@@ -177,6 +172,40 @@ def compute_substitutions(
         ]
         report.per_procedure[name] = proc_subs
     return report
+
+
+def _reference_sites(
+    ssa: SSAProcedure, sccp: SCCPResult
+) -> tuple[tuple[Reference, ...], tuple[Reference, ...]]:
+    """Every source reference ``sccp`` proves constant, in program order
+    and one per span, plus the subset that reads an entry (version-0)
+    value."""
+    references: list[Reference] = []
+    entry_candidates: list[Reference] = []
+    seen_spans: set[tuple[int, int]] = set()
+    for block, instr in ssa.cfg.instructions():
+        if block.id not in sccp.executable_blocks:
+            continue
+        if isinstance(instr, Phi):
+            continue  # phi inputs are not source references
+        for operand in instr.uses():
+            if not isinstance(operand, SSAName):
+                continue
+            span = operand.span
+            if span.start.offset == span.end.offset:
+                continue  # synthesized use, no source text
+            value = sccp.value_of(operand)
+            if not is_constant(value):
+                continue
+            span_key = span.text_range
+            if span_key in seen_spans:
+                continue
+            seen_spans.add(span_key)
+            record = (span, value, operand.symbol)
+            references.append(record)
+            if operand.version == 0:
+                entry_candidates.append(record)
+    return tuple(references), tuple(entry_candidates)
 
 
 def format_constant(value: LatticeValue) -> str:

@@ -605,6 +605,11 @@ class _ProcedureResolver:
                     f"invalid DO induction variable {stmt.var.name!r}",
                     stmt.var.span.start,
                 )
+            if induction.type is not ast.Type.INTEGER:
+                raise SemanticError(
+                    f"DO variable {induction.name!r} must be INTEGER",
+                    stmt.var.span.start,
+                )
             stmt.first = self._resolve_expr(stmt.first)
             stmt.last = self._resolve_expr(stmt.last)
             if stmt.step is not None:

@@ -268,11 +268,6 @@ class _ProcedureLowerer:
 
     def _lower_do(self, stmt: ast.DoLoop) -> None:
         induction = self._symbol(stmt.var.name)
-        if induction.type is not ast.Type.INTEGER:
-            raise SemanticError(
-                f"DO variable {induction.name!r} must be INTEGER",
-                stmt.var.span.start,
-            )
         first = self._coerce(self._lower_expr(stmt.first), ast.Type.INTEGER)
         last = self._coerce(self._lower_expr(stmt.last), ast.Type.INTEGER)
         if stmt.step is None:

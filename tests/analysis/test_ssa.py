@@ -1,5 +1,7 @@
 """Unit tests for SSA construction."""
 
+import dataclasses
+
 from repro.analysis.ssa import build_ssa, ensure_global_symbols
 from repro.callgraph import build_call_graph, compute_modref, make_call_effects
 from repro.frontend import parse_program
@@ -261,3 +263,104 @@ class TestEntryUseSpans:
         ssa, _ = ssa_of(source)
         symbol = ssa.lowered.procedure.symtab.lookup("n")
         assert len(ssa.entry_use_spans(symbol)) == 1
+
+
+class TestStructuralClone:
+    """``copy_cfg`` must equal a deep copy, and share nothing mutable."""
+
+    @staticmethod
+    def suite_procedures(scale=0.2):
+        from repro.workloads.suite import load_suite
+
+        for name, work in load_suite(scale).items():
+            lowered = lower_program(parse_program(work.source))
+            ensure_global_symbols(lowered)
+            for proc in lowered.procedures.values():
+                yield name, proc
+
+    @staticmethod
+    def listing(cfg):
+        from repro.ir.printer import format_cfg
+
+        exact = [
+            (block_id, list(block.preds), [repr(i) for i in block.instrs])
+            for block_id, block in cfg.blocks.items()
+        ]
+        return (format_cfg(cfg), exact, cfg.entry_id, cfg.exit_id, cfg._next_id)
+
+    def test_clone_prints_like_deepcopy_on_suite(self):
+        import copy
+
+        from repro.analysis.ssa import copy_cfg
+
+        count = 0
+        for _program, proc in self.suite_procedures():
+            reference = copy.deepcopy(proc.cfg)
+            assert self.listing(copy_cfg(proc.cfg)) == self.listing(reference)
+            count += 1
+        assert count > 100
+
+    def test_clone_shares_no_mutable_part(self):
+        from repro.analysis.ssa import copy_cfg
+
+        for _program, proc in self.suite_procedures():
+            clone = copy_cfg(proc.cfg)
+            for block_id, block in proc.cfg.blocks.items():
+                twin = clone.blocks[block_id]
+                assert twin is not block
+                assert twin.instrs is not block.instrs
+                assert twin.preds is not block.preds
+                for instr, copied in zip(block.instrs, twin.instrs):
+                    assert copied is not instr
+                    for field in dataclasses.fields(instr):
+                        value = getattr(instr, field.name)
+                        if isinstance(value, (list, dict)):
+                            assert getattr(copied, field.name) is not value
+                    if isinstance(instr, Call):
+                        for arg, twin_arg in zip(instr.args, copied.args):
+                            assert twin_arg is not arg
+                            assert twin_arg.indices is not arg.indices
+
+    def test_call_kills_follow_their_cloned_call(self):
+        from repro.analysis.ssa import copy_cfg, instrument_call_kills
+
+        source = main_src(["n = 1", "call s(n)", "write n"],
+                          "subroutine s(a)\na = 2\nend\n")
+        lowered = lower_program(parse_program(source))
+        ensure_global_symbols(lowered)
+        graph = build_call_graph(lowered)
+        effects = make_call_effects(
+            lowered, "t", compute_modref(lowered, graph)
+        )
+        cfg = copy_cfg(lowered.procedure("t").cfg)
+        instrument_call_kills(cfg, effects)
+        clone = copy_cfg(cfg)
+        calls = [i for _, i in clone.instructions() if isinstance(i, Call)]
+        kills = [i for _, i in clone.instructions() if isinstance(i, CallKill)]
+        assert kills and all(kill.call is calls[0] for kill in kills)
+
+    def test_mutating_ssa_leaves_lowered_cfg_intact(self):
+        from repro.ir.printer import format_cfg
+
+        source = main_src(
+            ["n = 1", "if (n > 0) then", "n = 2", "endif",
+             "call s(n, n + 1)", "write n"],
+            "subroutine s(a, b)\na = b\nend\n",
+        )
+        ssa, lowered = ssa_of(source)
+        before = format_cfg(lowered.procedure("t").cfg)
+        mutated = 0
+        for _, instr in ssa.cfg.instructions():
+            if isinstance(instr, Call):
+                for arg in instr.args:
+                    arg.value = SSAName(arg.symbol or ssa.variables[0], 99)
+                    arg.indices.append(SSAName(ssa.variables[0], 98))
+                instr.args.append(instr.args[0])
+                mutated += 1
+            elif isinstance(instr, Phi):
+                for block_id in list(instr.incoming):
+                    instr.incoming[block_id] = SSAName(ssa.variables[0], 97)
+                instr.incoming[-5] = SSAName(ssa.variables[0], 96)
+                mutated += 1
+        assert mutated >= 2
+        assert format_cfg(lowered.procedure("t").cfg) == before

@@ -99,6 +99,15 @@ class TestSupportIndex:
         assert [e.key for e in index.seeds["m"]] == ["a"]
         assert index.callees["m"] == ("s",)
 
+    def test_callees_deduplicated_in_first_call_order(self):
+        source = (
+            "program m\n  call b\n  call a\n  call b\n  call c\n"
+            "  call a\nend\n"
+            "subroutine a\nend\nsubroutine b\nend\nsubroutine c\nend\n"
+        )
+        lowered, graph, forward = pipeline(source)
+        assert forward.index.callees["m"] == ("b", "a", "c")
+
     def test_const_hoisted_at_build(self):
         # the literal jump function folds at index construction: §3.1.5
         # charges building it, not re-deriving its value each pass

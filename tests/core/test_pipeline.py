@@ -224,12 +224,27 @@ class TestSweepPrograms:
 
 
 class TestStatsSurface:
-    def test_timings_include_cache_flag(self):
+    def test_stage0_cached_flag_tracks_cache_hits(self):
         cache = Stage0Cache()
         first = analyze(PROGRAM, cache=cache)
         second = analyze(PROGRAM, cache=cache)
-        assert first.timings["stage0_cached"] == 0.0
-        assert second.timings["stage0_cached"] == 1.0
+        assert first.stage0_cached is False
+        assert second.stage0_cached is True
+        assert second.stats_json()["pipeline"]["stage0_cached"] == 1
+
+    def test_every_timing_is_a_stage_duration(self):
+        cache = Stage0Cache()
+        runs = [
+            analyze(PROGRAM, cache=cache),
+            analyze(PROGRAM, cache=cache),
+            analyze(PROGRAM, AnalysisConfig(complete=True), cache=cache),
+        ]
+        stages = {"lower", "modref", "returns", "forward", "solve", "record"}
+        for result in runs:
+            assert stages <= set(result.timings)
+            for key, value in result.timings.items():
+                assert key in stages, key
+                assert type(value) is float and value >= 0.0, (key, value)
 
     def test_stats_report_mentions_everything(self):
         result = analyze(PROGRAM, cache=Stage0Cache())

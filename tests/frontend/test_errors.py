@@ -94,3 +94,24 @@ class TestRecoveryBoundaries:
         source = "program p\nn = ((((1 + ))))\nend\n"
         with pytest.raises(ParseError):
             parse_source(source)
+
+
+class TestDoVariableType:
+    """Name resolution alone rejects a non-INTEGER DO variable."""
+
+    SOURCE = "program p\nreal x\ndo x = 1, 3\n  write x\nenddo\nend\n"
+
+    def test_parse_program_rejects(self):
+        with pytest.raises(SemanticError) as exc_info:
+            parse_program(self.SOURCE)
+        error = exc_info.value
+        assert error.message == "DO variable 'x' must be INTEGER"
+        assert (error.location.line, error.location.column) == (3, 4)
+        assert str(error) == "3:4: DO variable 'x' must be INTEGER"
+
+    def test_implicit_real_rejected(self):
+        with pytest.raises(SemanticError, match="DO variable 'r' must be"):
+            parse_program("program p\ndo r = 1, 3\nenddo\nend\n")
+
+    def test_integer_accepted(self):
+        parse_program("program p\ninteger k\ndo k = 1, 3\nenddo\nend\n")
