@@ -238,6 +238,11 @@ class _Artifacts:
     incremental: IncrementalReport | None = None
 
 
+#: per-stage timing keys in pipeline order; ``parse`` is present only
+#: when :func:`analyze` was given source text.
+_STAGE_KEYS = ("parse", "lower", "modref", "returns", "forward", "solve", "record")
+
+
 @dataclass
 class AnalysisResult:
     """Everything one analyzer run produced."""
@@ -293,15 +298,14 @@ class AnalysisResult:
     def stats_report(self) -> str:
         """Per-stage timings plus solver and cache counters, rendered for
         ``repro analyze --stats``."""
-        stage_keys = ("lower", "modref", "returns", "forward", "solve", "record")
         lines = ["per-stage timings:"]
-        for key in stage_keys:
+        for key in _STAGE_KEYS:
             if key in self.timings:
                 lines.append(f"  {key:<8} {self.timings[key] * 1000.0:>9.3f} ms")
         extras = {
             key: value
             for key, value in self.timings.items()
-            if key not in stage_keys
+            if key not in _STAGE_KEYS
         }
         lines.append("solver counters:")
         for key, value in self.solved.counters().items():
@@ -326,11 +330,10 @@ class AnalysisResult:
     def stats_json(self) -> dict:
         """The ``--profile-json`` payload: per-stage timings (ms) plus
         every solver, cache, region, and store counter as plain JSON."""
-        stage_keys = ("lower", "modref", "returns", "forward", "solve", "record")
         timings_ms = {key: value * 1000.0 for key, value in self.timings.items()}
         payload = {
             "timings_ms": {
-                key: timings_ms.pop(key) for key in stage_keys if key in timings_ms
+                key: timings_ms.pop(key) for key in _STAGE_KEYS if key in timings_ms
             },
             "solver_counters": dict(self.solved.counters()),
             "pipeline": {
@@ -798,9 +801,14 @@ def analyze(
     """
     config = config or AnalysisConfig()
     cancel_point()
-    program = parse_program(source) if isinstance(source, str) else source
-    chaos_point(Stage.FRONTEND)
     timings: dict[str, float] = {}
+    if isinstance(source, str):
+        start = time.perf_counter()
+        program = parse_program(source)
+        timings["parse"] = time.perf_counter() - start
+    else:
+        program = source
+    chaos_point(Stage.FRONTEND)
     degradations: list[DegradationRecord] = []
 
     complete_stats: CompleteStats | None = None

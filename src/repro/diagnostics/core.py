@@ -73,7 +73,7 @@ class Diagnostic:
 
     def sort_key(self) -> tuple:
         span = self.span
-        offset = span.start.offset if span is not None else -1
+        offset = span.start_offset if span is not None else -1
         return (
             self.path or "",
             offset,
@@ -88,8 +88,8 @@ class Diagnostic:
         if self.path:
             parts.append(self.path)
         if self.span is not None:
-            parts.append(str(self.span.start.line))
-            parts.append(str(self.span.start.column))
+            parts.append(str(self.span.start_line))
+            parts.append(str(self.span.start_column))
         return ":".join(parts)
 
     def to_dict(self) -> dict:
@@ -103,10 +103,10 @@ class Diagnostic:
         if self.procedure is not None:
             payload["procedure"] = self.procedure
         if self.span is not None:
-            payload["line"] = self.span.start.line
-            payload["column"] = self.span.start.column
-            payload["end_line"] = self.span.end.line
-            payload["end_column"] = self.span.end.column
+            payload["line"] = self.span.start_line
+            payload["column"] = self.span.start_column
+            payload["end_line"] = self.span.end_line
+            payload["end_column"] = self.span.end_column
         if self.path is not None:
             payload["path"] = self.path
         return payload

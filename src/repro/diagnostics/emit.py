@@ -85,10 +85,10 @@ def emit_sarif(report: LintReport) -> str:
                 physical["artifactLocation"] = {"uri": diag.path}
             if diag.span is not None:
                 physical["region"] = {
-                    "startLine": diag.span.start.line,
-                    "startColumn": diag.span.start.column,
-                    "endLine": diag.span.end.line,
-                    "endColumn": diag.span.end.column,
+                    "startLine": diag.span.start_line,
+                    "startColumn": diag.span.start_column,
+                    "endLine": diag.span.end_line,
+                    "endColumn": diag.span.end_column,
                 }
             result["locations"] = [{"physicalLocation": physical}]
         if diag.procedure is not None:

@@ -33,7 +33,7 @@ from repro.frontend.astnodes import (
     WriteStmt,
 )
 from repro.frontend.errors import FrontendError, LexError, ParseError, SemanticError
-from repro.frontend.lexer import Lexer, tokenize
+from repro.frontend.lexer import tokenize
 from repro.frontend.parser import Parser, parse_source
 from repro.frontend.source import SourceLocation, SourceSpan
 from repro.frontend.symbols import (
@@ -63,7 +63,6 @@ __all__ = [
     "IfStmt",
     "IntLit",
     "LexError",
-    "Lexer",
     "LogicalLit",
     "ParseError",
     "Parser",

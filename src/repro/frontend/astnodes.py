@@ -330,16 +330,32 @@ class CompilationUnit:
 
 def walk_expr(expr: Expr):
     """Yield ``expr`` and all sub-expressions, pre-order."""
-    yield expr
-    if isinstance(expr, BinaryOp):
-        yield from walk_expr(expr.left)
-        yield from walk_expr(expr.right)
-    elif isinstance(expr, UnaryOp):
-        yield from walk_expr(expr.operand)
-    elif isinstance(expr, (FunctionCall, ArrayRef)):
-        children = expr.args if isinstance(expr, FunctionCall) else expr.indices
-        for child in children:
-            yield from walk_expr(child)
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, BinaryOp):
+            stack.append(node.right)
+            stack.append(node.left)
+        elif isinstance(node, UnaryOp):
+            stack.append(node.operand)
+        elif isinstance(node, (FunctionCall, ArrayRef)):
+            children = node.args if isinstance(node, FunctionCall) else node.indices
+            stack.extend(reversed(children))
+
+
+def left_spine(expr: BinaryOp) -> list[BinaryOp]:
+    """The binary nodes down ``expr``'s left operands, innermost first.
+
+    A chain like ``a + b + ... + z`` nests to the left as deep as it is
+    long; walking its spine in a loop instead of recursing on ``left``
+    keeps a long chain from exhausting the stack.
+    """
+    spine = [expr]
+    while isinstance(spine[-1].left, BinaryOp):
+        spine.append(spine[-1].left)
+    spine.reverse()
+    return spine
 
 
 def walk_stmts(stmts: list[Stmt]):

@@ -1,6 +1,7 @@
 """The MiniFortran lexer.
 
-Hand-written scanner producing a flat token stream. Design points:
+A single master regular expression scans the source; each match names
+the lexical class it found. Design points:
 
 - Free-form source; statements end at newlines, so NEWLINE is a token.
   A trailing ``&`` continues a statement onto the next line (the newline
@@ -11,15 +12,48 @@ Hand-written scanner producing a flat token stream. Design points:
   single tokens, as are the modern comparison spellings (``<=``, ``/=``).
 - A real literal requires a digit on at least one side of the dot and must
   not form a dot-operator (``1.eq.2`` lexes as INT DOT-OP INT).
+- Letters and digits are ASCII only; any other character is a
+  :class:`LexError` at its line and column.
 """
 
 from __future__ import annotations
 
+import re
+
 from repro.frontend.errors import LexError
-from repro.frontend.source import SourceLocation, SourceSpan
+from repro.frontend.source import SourceLocation, make_span
 from repro.frontend.tokens import DOT_OPERATORS, KEYWORDS, Token, TokenKind
 
-_SINGLE_CHAR: dict[str, TokenKind] = {
+_DOT_NAMES = "|".join(op.strip(".") for op in DOT_OPERATORS)
+
+_TOKEN_RE = re.compile(
+    rf"""
+    (?P<skip>[ \t\r]+|![^\n]*)
+  | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<op>\*\*|[=/<>]=|[-+*/()<>=,:])
+  | (?P<newline>\n)
+  | (?P<number>
+        (?:[0-9]+(?:\.(?!(?i:{_DOT_NAMES})\.)[0-9]*)?|\.[0-9]+)
+        (?:[eEdD][+-]?[0-9]+)?
+    )
+  | (?P<dotop>\.(?i:{_DOT_NAMES})\.)
+  | (?P<string>'[^'\n]*'|"[^"\n]*")
+  | (?P<continuation>&[ \t\r]*(?:![^\n]*)?\n)
+    """,
+    re.VERBOSE | re.ASCII,
+)
+
+_OPERATORS: dict[str, TokenKind] = {
+    "**": TokenKind.POWER,
+    "==": TokenKind.EQ,
+    "/=": TokenKind.NE,
+    "<=": TokenKind.LE,
+    ">=": TokenKind.GE,
+    "<": TokenKind.LT,
+    ">": TokenKind.GT,
+    "=": TokenKind.ASSIGN,
+    "*": TokenKind.STAR,
+    "/": TokenKind.SLASH,
     "+": TokenKind.PLUS,
     "-": TokenKind.MINUS,
     "(": TokenKind.LPAREN,
@@ -28,234 +62,70 @@ _SINGLE_CHAR: dict[str, TokenKind] = {
     ":": TokenKind.COLON,
 }
 
-
-class Lexer:
-    """Scans MiniFortran source text into :class:`Token` objects."""
-
-    def __init__(self, source: str):
-        self._source = source
-        self._pos = 0
-        self._line = 1
-        self._column = 1
-        self._tokens: list[Token] = []
-
-    def tokenize(self) -> list[Token]:
-        """Scan the whole input; always ends with a single EOF token."""
-        while self._pos < len(self._source):
-            self._scan_one()
-        self._ensure_trailing_newline()
-        self._emit(TokenKind.EOF, "", self._here(), 0)
-        return self._tokens
-
-    # -- scanning ---------------------------------------------------------
-
-    def _scan_one(self) -> None:
-        ch = self._peek()
-        if ch in " \t\r":
-            self._advance()
-            return
-        if ch == "!":
-            self._skip_comment()
-            return
-        if ch == "&":
-            self._consume_continuation()
-            return
-        if ch == "\n":
-            self._consume_newline()
-            return
-        if ch.isdigit():
-            self._scan_number()
-            return
-        if ch == "." and self._peek(1).isdigit():
-            self._scan_number()
-            return
-        if ch == ".":
-            self._scan_dot_operator()
-            return
-        if ch.isalpha() or ch == "_":
-            self._scan_word()
-            return
-        if ch == "'" or ch == '"':
-            self._scan_string(ch)
-            return
-        self._scan_operator()
-
-    def _skip_comment(self) -> None:
-        while self._pos < len(self._source) and self._peek() != "\n":
-            self._advance()
-
-    def _consume_continuation(self) -> None:
-        start = self._here()
-        self._advance()  # the '&'
-        while self._pos < len(self._source) and self._peek() in " \t\r":
-            self._advance()
-        if self._pos < len(self._source) and self._peek() == "!":
-            self._skip_comment()
-        if self._pos >= len(self._source) or self._peek() != "\n":
-            raise LexError("'&' must end its line", start)
-        self._advance_line()
-
-    def _consume_newline(self) -> None:
-        loc = self._here()
-        self._advance_line()
-        # Collapse runs of blank lines into one NEWLINE token.
-        if self._tokens and self._tokens[-1].kind == TokenKind.NEWLINE:
-            return
-        span = SourceSpan(loc, self._here())
-        self._tokens.append(Token(TokenKind.NEWLINE, "\n", span))
-
-    def _scan_number(self) -> None:
-        start = self._here()
-        text = []
-        is_real = False
-        while self._pos < len(self._source) and self._peek().isdigit():
-            text.append(self._advance())
-        if self._pos < len(self._source) and self._peek() == ".":
-            # '1.eq.2' must lex the '.eq.' as an operator, not '1.' as real.
-            if not self._looks_like_dot_operator():
-                is_real = True
-                text.append(self._advance())
-                while self._pos < len(self._source) and self._peek().isdigit():
-                    text.append(self._advance())
-        if self._pos < len(self._source) and self._peek() in "eEdD":
-            save = (self._pos, self._line, self._column)
-            exp = [self._advance()]
-            if self._pos < len(self._source) and self._peek() in "+-":
-                exp.append(self._advance())
-            if self._pos < len(self._source) and self._peek().isdigit():
-                is_real = True
-                while self._pos < len(self._source) and self._peek().isdigit():
-                    exp.append(self._advance())
-                text.extend(exp)
-            else:
-                self._pos, self._line, self._column = save
-        literal = "".join(text)
-        if is_real:
-            value: object = float(literal.lower().replace("d", "e"))
-            self._emit_span(TokenKind.REAL, value, start)
-        else:
-            self._emit_span(TokenKind.INT, int(literal), start)
-
-    def _looks_like_dot_operator(self) -> bool:
-        rest = self._source[self._pos : self._pos + 7].lower()
-        return any(rest.startswith(op) for op in DOT_OPERATORS)
-
-    def _scan_dot_operator(self) -> None:
-        start = self._here()
-        rest = self._source[self._pos : self._pos + 7].lower()
-        for text, kind in DOT_OPERATORS.items():
-            if rest.startswith(text):
-                for _ in text:
-                    self._advance()
-                self._emit_span(kind, text, start)
-                return
-        raise LexError(f"unrecognized dot-operator starting {rest[:4]!r}", start)
-
-    def _scan_word(self) -> None:
-        start = self._here()
-        chars = []
-        while self._pos < len(self._source) and (
-            self._peek().isalnum() or self._peek() == "_"
-        ):
-            chars.append(self._advance())
-        word = "".join(chars).lower()
-        kind = KEYWORDS.get(word, TokenKind.IDENT)
-        self._emit_span(kind, word, start)
-
-    def _scan_string(self, quote: str) -> None:
-        start = self._here()
-        self._advance()
-        chars = []
-        while self._pos < len(self._source) and self._peek() != quote:
-            if self._peek() == "\n":
-                raise LexError("unterminated string literal", start)
-            chars.append(self._advance())
-        if self._pos >= len(self._source):
-            raise LexError("unterminated string literal", start)
-        self._advance()
-        self._emit_span(TokenKind.STRING, "".join(chars), start)
-
-    def _scan_operator(self) -> None:
-        start = self._here()
-        ch = self._peek()
-        two = self._source[self._pos : self._pos + 2]
-        if two == "**":
-            self._advance()
-            self._advance()
-            self._emit_span(TokenKind.POWER, "**", start)
-        elif two == "==":
-            self._advance()
-            self._advance()
-            self._emit_span(TokenKind.EQ, "==", start)
-        elif two == "/=":
-            self._advance()
-            self._advance()
-            self._emit_span(TokenKind.NE, "/=", start)
-        elif two == "<=":
-            self._advance()
-            self._advance()
-            self._emit_span(TokenKind.LE, "<=", start)
-        elif two == ">=":
-            self._advance()
-            self._advance()
-            self._emit_span(TokenKind.GE, ">=", start)
-        elif ch == "<":
-            self._advance()
-            self._emit_span(TokenKind.LT, "<", start)
-        elif ch == ">":
-            self._advance()
-            self._emit_span(TokenKind.GT, ">", start)
-        elif ch == "=":
-            self._advance()
-            self._emit_span(TokenKind.ASSIGN, "=", start)
-        elif ch == "*":
-            self._advance()
-            self._emit_span(TokenKind.STAR, "*", start)
-        elif ch == "/":
-            self._advance()
-            self._emit_span(TokenKind.SLASH, "/", start)
-        elif ch in _SINGLE_CHAR:
-            self._advance()
-            self._emit_span(_SINGLE_CHAR[ch], ch, start)
-        else:
-            raise LexError(f"unexpected character {ch!r}", start)
-
-    # -- low-level cursor -------------------------------------------------
-
-    def _peek(self, ahead: int = 0) -> str:
-        pos = self._pos + ahead
-        if pos >= len(self._source):
-            return "\0"
-        return self._source[pos]
-
-    def _advance(self) -> str:
-        ch = self._source[self._pos]
-        self._pos += 1
-        self._column += 1
-        return ch
-
-    def _advance_line(self) -> None:
-        self._pos += 1
-        self._line += 1
-        self._column = 1
-
-    def _here(self) -> SourceLocation:
-        return SourceLocation(self._line, self._column, self._pos)
-
-    def _emit(self, kind: TokenKind, value: object, start: SourceLocation, length: int) -> None:
-        end = SourceLocation(start.line, start.column + length, start.offset + length)
-        self._tokens.append(Token(kind, value, SourceSpan(start, end)))
-
-    def _emit_span(self, kind: TokenKind, value: object, start: SourceLocation) -> None:
-        span = SourceSpan(start, self._here())
-        self._tokens.append(Token(kind, value, span))
-
-    def _ensure_trailing_newline(self) -> None:
-        if self._tokens and self._tokens[-1].kind != TokenKind.NEWLINE:
-            span = SourceSpan(self._here(), self._here())
-            self._tokens.append(Token(TokenKind.NEWLINE, "\n", span))
+_NEWLINE = TokenKind.NEWLINE
+_IDENT = TokenKind.IDENT
+_new_token = tuple.__new__
 
 
 def tokenize(source: str) -> list[Token]:
-    """Convenience wrapper: lex ``source`` and return the token list."""
-    return Lexer(source).tokenize()
+    """Scan ``source`` into tokens; the list always ends with one EOF."""
+    tokens: list[Token] = []
+    append = tokens.append
+    keyword = KEYWORDS.get
+    line, line_start, pos = 1, 0, 0
+    match = _TOKEN_RE.scanner(source).match
+    while (m := match()) is not None:
+        group = m.lastgroup
+        start, pos = m.span()
+        if group == "skip":
+            continue
+        column = start - line_start + 1
+        if group == "newline" or group == "continuation":
+            # Runs of blank lines collapse into one NEWLINE; a
+            # continuation swallows its newline altogether.
+            if group == "newline" and (not tokens or tokens[-1].kind is not _NEWLINE):
+                span = make_span(line, column, start, line + 1, 1, pos)
+                append(_new_token(Token, (_NEWLINE, "\n", span)))
+            line += 1
+            line_start = pos
+            continue
+        span = make_span(line, column, start, line, column + pos - start, pos)
+        text = m.group()
+        if group == "word":
+            text = text.lower()
+            kind = keyword(text, _IDENT)
+            value: object = text
+        elif group == "op":
+            kind, value = _OPERATORS[text], text
+        elif group == "number":
+            if text.isdigit():
+                kind, value = TokenKind.INT, int(text)
+            else:
+                kind, value = TokenKind.REAL, float(text.lower().replace("d", "e"))
+        elif group == "dotop":
+            value = text.lower()
+            kind = DOT_OPERATORS[value]
+        else:
+            kind, value = TokenKind.STRING, text[1:-1]
+        append(_new_token(Token, (kind, value, span)))
+    if pos < len(source):
+        _reject(source, pos, line, pos - line_start + 1)
+    column = pos - line_start + 1
+    if tokens and tokens[-1].kind is not _NEWLINE:
+        append(Token(_NEWLINE, "\n", make_span(line, column, pos, line, column, pos)))
+    append(Token(TokenKind.EOF, "", make_span(line, column, pos, line, column, pos)))
+    return tokens
+
+
+def _reject(source: str, pos: int, line: int, column: int) -> None:
+    """Raise the error for the character at ``pos`` no token matches."""
+    where = SourceLocation(line, column, pos)
+    ch = source[pos]
+    if ch == "&":
+        raise LexError("'&' must end its line", where)
+    if ch in "'\"":
+        raise LexError("unterminated string literal", where)
+    if ch == ".":
+        rest = source[pos : pos + 7].lower()
+        raise LexError(f"unrecognized dot-operator starting {rest[:4]!r}", where)
+    raise LexError(f"unexpected character {ch!r}", where)

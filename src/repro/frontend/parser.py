@@ -16,7 +16,9 @@ Grammar summary (NEWLINE-terminated statements, declarations first)::
 
 Expression precedence, lowest first:
 ``.or.`` < ``.and.`` < ``.not.`` < comparisons < ``+ -`` < ``* /`` < unary
-``+ -`` < ``**`` (right-assoc) < primary.
+``+ -`` < ``**`` (right-assoc) < primary. Comparisons do not chain.
+Expressions are parsed by precedence climbing, so a parenthesis costs
+two stack frames, and nesting is capped at :data:`MAX_NESTING`.
 """
 
 from __future__ import annotations
@@ -45,14 +47,30 @@ _DECL_STARTERS = frozenset(
     }
 )
 
-_COMPARE_TOKENS = {
-    TokenKind.EQ: "==",
-    TokenKind.NE: "/=",
-    TokenKind.LT: "<",
-    TokenKind.LE: "<=",
-    TokenKind.GT: ">",
-    TokenKind.GE: ">=",
+#: binding levels, loosest first; prefix operators sit between them.
+_OR_LEVEL, _AND_LEVEL, _NOT_LEVEL, _COMPARE_LEVEL = 1, 2, 3, 4
+_ADD_LEVEL, _MUL_LEVEL, _SIGN_LEVEL, _POWER_LEVEL, _PRIMARY_LEVEL = 5, 6, 7, 8, 9
+
+#: binary operator token -> (binding level, AST spelling).
+_BINARY = {
+    TokenKind.OR: (_OR_LEVEL, ".or."),
+    TokenKind.AND: (_AND_LEVEL, ".and."),
+    TokenKind.EQ: (_COMPARE_LEVEL, "=="),
+    TokenKind.NE: (_COMPARE_LEVEL, "/="),
+    TokenKind.LT: (_COMPARE_LEVEL, "<"),
+    TokenKind.LE: (_COMPARE_LEVEL, "<="),
+    TokenKind.GT: (_COMPARE_LEVEL, ">"),
+    TokenKind.GE: (_COMPARE_LEVEL, ">="),
+    TokenKind.PLUS: (_ADD_LEVEL, "+"),
+    TokenKind.MINUS: (_ADD_LEVEL, "-"),
+    TokenKind.STAR: (_MUL_LEVEL, "*"),
+    TokenKind.SLASH: (_MUL_LEVEL, "/"),
+    TokenKind.POWER: (_POWER_LEVEL, "**"),
 }
+
+#: how deeply expressions may nest (parentheses, signs, ``**`` exponents,
+#: arguments); deeper input is a located ParseError, never a RecursionError.
+MAX_NESTING = 256
 
 
 class Parser:
@@ -62,13 +80,19 @@ class Parser:
         self._tokens = tokens
         self._pos = 0
         self._source = source
+        self._depth = 0
 
     def parse(self) -> ast.CompilationUnit:
         procedures = []
         self._skip_newlines()
-        while not self._at(TokenKind.EOF):
-            procedures.append(self._parse_procedure())
-            self._skip_newlines()
+        try:
+            while not self._at(TokenKind.EOF):
+                procedures.append(self._parse_procedure())
+                self._skip_newlines()
+        except RecursionError:
+            # Statement blocks nest without a counted limit; whatever
+            # exhausts the stack is reported where parsing stood.
+            raise ParseError("program nested too deeply", self._peek().span.start) from None
         if not procedures:
             raise ParseError("empty program", self._peek().span.start)
         return ast.CompilationUnit(procedures=procedures, source=self._source)
@@ -439,77 +463,56 @@ class Parser:
 
     # -- expressions --------------------------------------------------------
 
-    def _parse_expr(self) -> ast.Expr:
-        return self._parse_or()
-
-    def _parse_or(self) -> ast.Expr:
-        left = self._parse_and()
-        while self._at(TokenKind.OR):
-            op_tok = self._advance()
-            right = self._parse_and()
-            left = ast.BinaryOp(".or.", left, right, span=op_tok.span)
-        return left
-
-    def _parse_and(self) -> ast.Expr:
-        left = self._parse_not()
-        while self._at(TokenKind.AND):
-            op_tok = self._advance()
-            right = self._parse_not()
-            left = ast.BinaryOp(".and.", left, right, span=op_tok.span)
-        return left
-
-    def _parse_not(self) -> ast.Expr:
-        if self._at(TokenKind.NOT):
-            op_tok = self._advance()
-            operand = self._parse_not()
-            return ast.UnaryOp(".not.", operand, span=op_tok.span)
-        return self._parse_comparison()
-
-    def _parse_comparison(self) -> ast.Expr:
-        left = self._parse_additive()
-        if self._peek().kind in _COMPARE_TOKENS:
-            op_tok = self._advance()
-            right = self._parse_additive()
-            return ast.BinaryOp(_COMPARE_TOKENS[op_tok.kind], left, right, span=op_tok.span)
-        return left
-
-    def _parse_additive(self) -> ast.Expr:
-        left = self._parse_multiplicative()
-        while self._peek().kind in (TokenKind.PLUS, TokenKind.MINUS):
-            op_tok = self._advance()
-            right = self._parse_multiplicative()
-            op = "+" if op_tok.kind == TokenKind.PLUS else "-"
-            left = ast.BinaryOp(op, left, right, span=op_tok.span)
-        return left
-
-    def _parse_multiplicative(self) -> ast.Expr:
-        left = self._parse_unary()
-        while self._peek().kind in (TokenKind.STAR, TokenKind.SLASH):
-            op_tok = self._advance()
-            right = self._parse_unary()
-            op = "*" if op_tok.kind == TokenKind.STAR else "/"
-            left = ast.BinaryOp(op, left, right, span=op_tok.span)
-        return left
-
-    def _parse_unary(self) -> ast.Expr:
+    def _parse_expr(self, min_level: int = _OR_LEVEL) -> ast.Expr:
+        """Precedence climbing: parse an operand, then every binary
+        operator that binds at ``min_level`` or tighter. Prefix ``.not.``
+        is allowed only where an ``.and.`` operand may start, as the
+        precedence table in the module docstring requires."""
+        if self._depth > MAX_NESTING:
+            raise ParseError(
+                f"expression nested more than {MAX_NESTING} levels deep",
+                self._peek().span.start,
+            )
+        self._depth += 1
         tok = self._peek()
-        if tok.kind == TokenKind.MINUS:
+        if tok.kind is TokenKind.NOT and min_level <= _NOT_LEVEL:
             self._advance()
-            operand = self._parse_unary()
-            return ast.UnaryOp("-", operand, span=tok.span)
-        if tok.kind == TokenKind.PLUS:
+            left = ast.UnaryOp(".not.", self._parse_expr(_NOT_LEVEL), span=tok.span)
+            left_level = _NOT_LEVEL
+        elif tok.kind is TokenKind.MINUS:
             self._advance()
-            return self._parse_unary()
-        return self._parse_power()
-
-    def _parse_power(self) -> ast.Expr:
-        base = self._parse_primary()
-        if self._at(TokenKind.POWER):
+            left = ast.UnaryOp("-", self._parse_expr(_SIGN_LEVEL), span=tok.span)
+            left_level = _SIGN_LEVEL
+        elif tok.kind is TokenKind.PLUS:
+            self._advance()
+            left = self._parse_expr(_SIGN_LEVEL)
+            left_level = _SIGN_LEVEL
+        else:
+            left = self._parse_primary()
+            left_level = _PRIMARY_LEVEL
+        while True:
+            binary = _BINARY.get(self._peek().kind)
+            if binary is None:
+                break
+            level, op = binary
+            # Stop at an operator looser than this call may take, one
+            # tighter than ``left`` (its operand would have taken it), or
+            # a second comparison: 'a < b < c' stops after 'a < b'.
+            if level < min_level or level > left_level or level == left_level == _COMPARE_LEVEL:
+                break
             op_tok = self._advance()
-            # Right-associative: a ** b ** c == a ** (b ** c).
-            exponent = self._parse_unary()
-            return ast.BinaryOp("**", base, exponent, span=op_tok.span)
-        return base
+            if level == _POWER_LEVEL:
+                # Right-associative, and the exponent may be signed.
+                right = self._parse_expr(_SIGN_LEVEL)
+            else:
+                # A left-associative operand is no deeper a nesting level.
+                self._depth -= 1
+                right = self._parse_expr(level + 1)
+                self._depth += 1
+            left = ast.BinaryOp(op, left, right, span=op_tok.span)
+            left_level = level
+        self._depth -= 1
+        return left
 
     def _parse_primary(self) -> ast.Expr:
         tok = self._peek()

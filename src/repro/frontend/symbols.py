@@ -28,7 +28,7 @@ import statistics
 from dataclasses import dataclass, field
 
 from repro.frontend import astnodes as ast
-from repro.frontend.errors import SemanticError
+from repro.frontend.errors import ParseError, SemanticError
 from repro.frontend.parser import parse_source
 from repro.frontend.source import DUMMY_SPAN, SourceSpan
 
@@ -250,7 +250,7 @@ class Program:
         sizes: dict[str, int] = {}
         for name, proc in self.procedures.items():
             span = proc.ast.span
-            sizes[name] = max(1, span.end.line - span.start.line + 1)
+            sizes[name] = max(1, span.end_line - span.start_line + 1)
         return sizes
 
     def characteristics(self) -> dict[str, float]:
@@ -301,27 +301,33 @@ class _ConstEvaluator:
                 expr.span.start,
             )
         if isinstance(expr, ast.BinaryOp):
-            left = self.eval(expr.left)
-            right = self.eval(expr.right)
-            if expr.op == "+":
-                return left + right  # type: ignore[operator]
-            if expr.op == "-":
-                return left - right  # type: ignore[operator]
-            if expr.op == "*":
-                return left * right  # type: ignore[operator]
-            if expr.op == "/":
-                if isinstance(left, int) and isinstance(right, int):
-                    if right == 0:
-                        raise SemanticError("division by zero in constant", expr.span.start)
-                    return _fortran_int_div(left, right)
-                return left / right  # type: ignore[operator]
-            if expr.op == "**":
-                return left**right  # type: ignore[operator]
-            raise SemanticError(
-                f"operator {expr.op!r} not allowed in constant expression",
-                expr.span.start,
-            )
+            spine = ast.left_spine(expr)
+            value = self.eval(spine[0].left)
+            for node in spine:
+                value = self._apply(node, value, self.eval(node.right))
+            return value
         raise SemanticError("expected a constant expression", expr.span.start)
+
+    @staticmethod
+    def _apply(expr: ast.BinaryOp, left, right) -> int | float | bool:
+        if expr.op == "+":
+            return left + right  # type: ignore[operator]
+        if expr.op == "-":
+            return left - right  # type: ignore[operator]
+        if expr.op == "*":
+            return left * right  # type: ignore[operator]
+        if expr.op == "/":
+            if isinstance(left, int) and isinstance(right, int):
+                if right == 0:
+                    raise SemanticError("division by zero in constant", expr.span.start)
+                return _fortran_int_div(left, right)
+            return left / right  # type: ignore[operator]
+        if expr.op == "**":
+            return left**right  # type: ignore[operator]
+        raise SemanticError(
+            f"operator {expr.op!r} not allowed in constant expression",
+            expr.span.start,
+        )
 
 
 def _fortran_int_div(a: int, b: int) -> int:
@@ -680,8 +686,10 @@ class _ProcedureResolver:
             expr.operand = self._resolve_expr(expr.operand)
             return expr
         if isinstance(expr, ast.BinaryOp):
-            expr.left = self._resolve_expr(expr.left)
-            expr.right = self._resolve_expr(expr.right)
+            spine = ast.left_spine(expr)
+            spine[0].left = self._resolve_expr(spine[0].left)
+            for node in spine:
+                node.right = self._resolve_expr(node.right)
             return expr
         if isinstance(expr, ast.ArrayRef):
             expr.indices = [self._resolve_expr(i) for i in expr.indices]
@@ -780,7 +788,12 @@ def resolve(unit: ast.CompilationUnit) -> Program:
         resolver = _ProcedureResolver(
             proc_def, proc_kinds, proc_return_types, global_vars
         )
-        procedures[proc_def.name] = resolver.resolve()
+        try:
+            procedures[proc_def.name] = resolver.resolve()
+        except RecursionError:
+            raise ParseError(
+                "procedure nested too deeply", proc_def.span.start
+            ) from None
 
     _check_call_arities(procedures)
     return Program(

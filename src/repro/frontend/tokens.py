@@ -8,7 +8,7 @@ lexer; the original spelling survives only through source spans.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.frontend.source import SourceSpan
 
@@ -120,13 +120,13 @@ DOT_OPERATORS: dict[str, TokenKind] = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """A single lexeme with its source span.
 
     ``value`` holds the normalized payload: the lower-cased name for
     identifiers, an ``int`` for integer literals, a ``float`` for real
-    literals, and the raw text otherwise.
+    literals, and the raw text otherwise. A named tuple: immutable, with
+    no per-instance dict, and cheap for the lexer to build.
     """
 
     kind: TokenKind

@@ -393,12 +393,16 @@ class _ProcedureLowerer:
                             span=expr.span))
             return temp
         if isinstance(expr, ast.BinaryOp):
-            left = self._lower_expr(expr.left)
-            right = self._lower_expr(expr.right)
-            temp = self._new_temp(_binop_type(expr.op, left, right))
-            self._emit(BinOp(op=expr.op, left=left, right=right, result=temp,
-                             span=expr.span))
-            return temp
+            # Left operand first, then right, as recursion would emit.
+            spine = ast.left_spine(expr)
+            left = self._lower_expr(spine[0].left)
+            for node in spine:
+                right = self._lower_expr(node.right)
+                temp = self._new_temp(_binop_type(node.op, left, right))
+                self._emit(BinOp(op=node.op, left=left, right=right, result=temp,
+                                 span=node.span))
+                left = temp
+            return left
         if isinstance(expr, ast.FunctionCall):
             return self._lower_call_expr(expr)
         raise SemanticError(f"cannot lower expression {type(expr).__name__}")

@@ -33,7 +33,7 @@ import threading
 import time
 from dataclasses import dataclass, field, replace
 
-from repro.core.driver import Stage0Cache, analyze
+from repro.core.driver import analyze
 from repro.resilience.cancel import (
     CancelledError,
     CancelToken,
@@ -103,9 +103,6 @@ class AnalysisService:
         self._store = store
         self._journal = journal
         self._clock = clock
-        # Private stage-0 cache: daemon lifetime, not process-global, so
-        # a test daemon never warms (or poisons) the CLI's cache.
-        self._stage0 = Stage0Cache()
         self.admission = AdmissionController(
             self.policy.queue_limit,
             self.policy.tenant_rate,
@@ -339,7 +336,10 @@ class AnalysisService:
         result = analyze(
             request.source,
             effective,
-            cache=self._stage0,
+            # No stage-0 cache: every edit is a new source text, repeats
+            # are answered by the response cache, and retained bundles
+            # would only make each full collection walk more.
+            cache=None,
             store=self._store if use_store else None,
             incremental=incremental,
         )
@@ -529,7 +529,6 @@ class AnalysisService:
                 "coalesced": self._inflight.coalesced,
                 "in_flight": len(self._inflight),
             },
-            "stage0": self._stage0.counters(),
             "recovered": list(self.recovered),
             "draining": self._draining.is_set(),
         }

@@ -239,7 +239,7 @@ class TestStatsSurface:
             analyze(PROGRAM, cache=cache),
             analyze(PROGRAM, AnalysisConfig(complete=True), cache=cache),
         ]
-        stages = {"lower", "modref", "returns", "forward", "solve", "record"}
+        stages = {"parse", "lower", "modref", "returns", "forward", "solve", "record"}
         for result in runs:
             assert stages <= set(result.timings)
             for key, value in result.timings.items():
@@ -252,6 +252,20 @@ class TestStatsSurface:
         for token in ("lower", "modref", "solve", "passes", "pops",
                       "evaluations", "stage0_cached"):
             assert token in report
+
+    def test_parse_is_timed_for_text_input_and_listed_first(self):
+        result = analyze(PROGRAM, cache=None)
+        assert result.timings["parse"] > 0.0
+        report = result.stats_report().splitlines()
+        assert report[0] == "per-stage timings:"
+        assert report[1].split()[0] == "parse"
+        assert next(iter(result.stats_json()["timings_ms"])) == "parse"
+
+    def test_parse_is_not_timed_for_program_input(self):
+        result = analyze(parse_program(PROGRAM), cache=None)
+        assert "parse" not in result.timings
+        assert "parse" not in result.stats_json()["timings_ms"]
+        assert result.stats_report().splitlines()[1].split()[0] == "lower"
 
     def test_stage0_timings_survive_cache_hits(self):
         cache = Stage0Cache()

@@ -209,3 +209,63 @@ class TestErrors:
         with pytest.raises(LexError) as exc_info:
             tokenize("ok = 1\nbad @")
         assert exc_info.value.location.line == 2
+
+    @pytest.mark.parametrize("char", ["²", "٣", "ä"])
+    def test_non_ascii_character_is_located_lex_error(self, char):
+        # str.isdigit()/isalpha() accept these; the scanner is ASCII only
+        with pytest.raises(LexError) as exc_info:
+            tokenize(f"program p\n x = {char}\nend\n")
+        error = exc_info.value
+        assert (error.location.line, error.location.column) == (2, 6)
+        assert error.message == f"unexpected character {char!r}"
+
+    @pytest.mark.parametrize("char", ["²", "٣", "ä"])
+    def test_non_ascii_inside_a_name_is_rejected(self, char):
+        with pytest.raises(LexError) as exc_info:
+            tokenize(f"x{char} = 1")
+        assert exc_info.value.location.column == 2
+
+    def test_non_ascii_digit_through_parse_program(self):
+        from repro.frontend.symbols import parse_program
+
+        with pytest.raises(LexError, match=r"^2:6: unexpected character '²'$"):
+            parse_program("program p\n x = ²\nend\n")
+
+    def test_non_ascii_in_comments_and_strings_is_fine(self):
+        toks = tokenize("write 'ä²' ! ٣\n")
+        assert [t.value for t in toks[:2]] == ["write", "ä²"]
+
+
+class TestTokenShape:
+    def test_token_is_immutable_and_slotted(self):
+        tok = tokenize("x")[0]
+        assert not hasattr(tok, "__dict__")
+        with pytest.raises(AttributeError):
+            tok.value = "y"
+
+    def test_blank_line_runs_collapse_into_one_newline(self):
+        toks = tokenize("\n\n a\n\n\n b")
+        assert [t.kind for t in toks] == [
+            TokenKind.NEWLINE, TokenKind.IDENT, TokenKind.NEWLINE,
+            TokenKind.IDENT, TokenKind.NEWLINE, TokenKind.EOF,
+        ]
+
+    def test_newline_span_ends_on_the_next_line(self):
+        newline = tokenize("ab\ncd")[1]
+        assert (newline.span.start.line, newline.span.start.column) == (1, 3)
+        assert (newline.span.end.line, newline.span.end.column) == (2, 1)
+
+    @pytest.mark.parametrize(
+        "source, expected",
+        [
+            ("1.eq.2", [TokenKind.INT, TokenKind.EQ, TokenKind.INT]),
+            ("1.e5", [TokenKind.REAL]),
+            ("1..2", [TokenKind.REAL, TokenKind.REAL]),
+            ("1e", [TokenKind.INT, TokenKind.IDENT]),
+            ("1d+x", [TokenKind.INT, TokenKind.IDENT, TokenKind.PLUS, TokenKind.IDENT]),
+            (".5D-1", [TokenKind.REAL]),
+            ("a.NE.b", [TokenKind.IDENT, TokenKind.NE, TokenKind.IDENT]),
+        ],
+    )
+    def test_number_and_dot_operator_boundaries(self, source, expected):
+        assert kinds(source)[:-2] == expected

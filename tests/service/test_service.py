@@ -477,6 +477,27 @@ class TestDispatch:
         assert copies["served"] == "cold"
         assert copies["fingerprint"] != plain["fingerprint"]
 
+    def test_daemon_keeps_no_stage0_bundles(self):
+        # every edit is a new text and repeats hit the response cache, so
+        # the daemon builds stage 0 per solve and retains none of it
+        from repro.core.driver import GLOBAL_STAGE0_CACHE
+
+        GLOBAL_STAGE0_CACHE.clear()
+        service = AnalysisService()
+        first = service.handle({"id": "a", "source": SOURCE})
+        other = service.handle(
+            {"id": "b", "source": SOURCE, "config": {"jump_function": "literal"}}
+        )
+        assert first["served"] == other["served"] == "cold"
+        assert len(GLOBAL_STAGE0_CACHE) == 0
+        assert "stage0" not in service.stats()
+        assert not hasattr(service, "_stage0")
+
+    def test_parse_time_rides_along_with_stats(self):
+        service = AnalysisService()
+        response = service.handle({"id": "a", "source": SOURCE, "stats": True})
+        assert next(iter(response["stats"]["timings_ms"])) == "parse"
+
     def test_stats_rides_along_when_requested(self):
         service = AnalysisService()
         response = service.handle(
