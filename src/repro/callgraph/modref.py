@@ -272,6 +272,10 @@ def make_call_effects(
                 kills.append((symbol, ("alias", symbol.name)))
             for formal, arg in zip(callee.formals, call.args):
                 if arg.kind is ArgumentKind.VAR and arg.symbol is not None:
+                    # The callee may also write a global actual through
+                    # COMMON: no formal return function may rescue it.
+                    if arg.symbol.kind is SymbolKind.GLOBAL:
+                        continue
                     if arg.symbol.type in (Type.INTEGER, Type.LOGICAL):
                         kills.append((arg.symbol, ("formal", formal.name)))
             return kills

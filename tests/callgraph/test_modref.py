@@ -218,6 +218,38 @@ end
         killed = {symbol.name for symbol, _ in effects(call)}
         assert killed == {"n", "m", "g", "h"}
 
+    def test_without_mod_a_global_actual_is_not_rescued(self):
+        # The callee may write g through COMMON as well as through its
+        # formal, so only the alias kill (no return jump function) applies.
+        source = """
+program main
+  common /c/ g
+  integer g
+  g = 1
+  call s(g)
+  call s(0)
+end
+subroutine s(p)
+  integer p
+  common /c/ g
+  integer g
+  g = 0
+  write p
+end
+"""
+        _info, lowered = modref_of(source)
+        effects = make_call_effects(lowered, "main", None)
+        call = lowered.procedure("main").call_instrs[0]
+        assert [binding for _, binding in effects(call)] == [("alias", GlobalId("c", 0))]
+
+        from repro import AnalysisConfig, JumpFunctionKind, analyze
+        from repro.interp import check_soundness, run_program
+
+        config = AnalysisConfig(JumpFunctionKind.POLYNOMIAL, use_mod=False)
+        result = analyze(source, config, cache=None)
+        assert check_soundness(result, run_program(source)) == []
+        assert "c.g" not in result.constants("s")
+
     def test_bindings_describe_callee_keys(self):
         info, lowered = modref_of(self.SRC)
         effects = make_call_effects(lowered, "main", info)
