@@ -64,6 +64,7 @@ _OPERATORS: dict[str, TokenKind] = {
 
 _NEWLINE = TokenKind.NEWLINE
 _IDENT = TokenKind.IDENT
+# Builds a Token without the Python-level __new__ a NamedTuple generates.
 _new_token = tuple.__new__
 
 
@@ -108,9 +109,9 @@ def tokenize(source: str) -> list[Token]:
         else:
             kind, value = TokenKind.STRING, text[1:-1]
         append(_new_token(Token, (kind, value, span)))
-    if pos < len(source):
-        _reject(source, pos, line, pos - line_start + 1)
     column = pos - line_start + 1
+    if pos < len(source):
+        _reject(source, pos, line, column)
     if tokens and tokens[-1].kind is not _NEWLINE:
         append(Token(_NEWLINE, "\n", make_span(line, column, pos, line, column, pos)))
     append(Token(TokenKind.EOF, "", make_span(line, column, pos, line, column, pos)))
